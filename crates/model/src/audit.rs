@@ -44,7 +44,7 @@ use acp_topology::{OverlayLinkId, OverlayNodeId};
 use crate::component::ComponentId;
 use crate::function::FunctionId;
 use crate::resources::{ResourceKind, ResourceVector};
-use crate::system::{SessionId, StreamSystem};
+use crate::system::{LeaseHolder, SessionId, StreamSystem};
 
 /// A single invariant violation found by [`SystemAuditor::audit`].
 #[derive(Debug, Clone, PartialEq)]
@@ -204,6 +204,14 @@ pub enum AuditViolation {
         /// The request holding both a session and leases.
         request: u64,
     },
+    /// A live lease's holder is missing from the system's lease-holder
+    /// index, so releasing its request would leave the lease behind.
+    LeaseHolderUnindexed {
+        /// The request owning the lease.
+        request: u64,
+        /// The node or link holding it.
+        entity: LeaseHolder,
+    },
     /// A tenant's ledger does not reconcile: admitted sessions are not
     /// all accounted for as closed + killed + preempted + live.
     TenantLedgerMismatch {
@@ -348,6 +356,9 @@ impl std::fmt::Display for AuditViolation {
             }
             AuditViolation::LinkLeaseOutlivedExpiry { link, count } => {
                 write!(f, "link {}: holds {count} lease(s) past expiry", link.0)
+            }
+            AuditViolation::LeaseHolderUnindexed { request, entity } => {
+                write!(f, "request {request}: lease on {entity} missing from the holder index")
             }
             AuditViolation::LeaseHeldByCommittedRequest { request } => {
                 write!(f, "request {request}: holds leases while a session is live")
@@ -538,6 +549,7 @@ impl SystemAuditor {
         self.audit_sessions(system, &mut out);
         self.audit_path_cache(system, &mut out);
         self.audit_leases(system, now, &mut out);
+        self.audit_lease_index(system, &mut out);
         self.audit_tenants(system, &mut out);
         self.audit_repair(system, &mut out);
         AuditReport { violations: out }
@@ -586,6 +598,22 @@ impl SystemAuditor {
             );
             out.extend(nodes);
             out.extend(links);
+        }
+    }
+
+    /// Lease-index pass: every live lease's `(request, holder)` pair is
+    /// listed in the system's lease-holder index, which request-wide
+    /// releases walk instead of every node and link. Checked with or
+    /// without the lease ledger — the index is kept either way. Nodes by
+    /// index, then links by index, requests ascending within each.
+    pub(crate) fn audit_lease_index(&self, system: &StreamSystem, out: &mut Vec<AuditViolation>) {
+        for i in 0..system.node_count() {
+            let v = OverlayNodeId(i as u32);
+            unindexed_leases(system, system.node(v).transient_requests(), LeaseHolder::Node(v), out);
+        }
+        for i in 0..system.link_count() {
+            let l = OverlayLinkId(i as u32);
+            unindexed_leases(system, system.link_leased_requests(l), LeaseHolder::Link(l), out);
         }
     }
 
@@ -1061,6 +1089,20 @@ impl SystemAuditor {
     }
 }
 
+/// Flags each distinct request among `requests` (the leases `entity`
+/// holds) that the holder index does not list under `entity`.
+fn unindexed_leases(
+    system: &StreamSystem,
+    requests: impl Iterator<Item = u64>,
+    entity: LeaseHolder,
+    out: &mut Vec<AuditViolation>,
+) {
+    let mut missing: Vec<u64> = requests.filter(|&r| !system.lease_holder_indexed(r, entity)).collect();
+    missing.sort_unstable();
+    missing.dedup();
+    out.extend(missing.into_iter().map(|request| AuditViolation::LeaseHolderUnindexed { request, entity }));
+}
+
 /// Live sessions in ascending id order (the session table is a HashMap,
 /// so its natural order is not deterministic).
 pub(crate) fn sorted_sessions(system: &StreamSystem) -> Vec<&crate::system::Session> {
@@ -1335,6 +1377,39 @@ mod tests {
             v,
             AuditViolation::LeaseLedgerMismatch { .. }
         )));
+    }
+
+    #[test]
+    fn detects_lease_missing_from_holder_index() {
+        let mut sys = build_system(10, 25);
+        sys.set_lease_accounting(false);
+        let f = sys.registry().ids().find(|&f| !sys.candidates(f).is_empty()).unwrap();
+        let c = sys.candidates(f)[0];
+        let r = RequestId(41);
+        let expiry = acp_simcore::SimTime::from_secs(30);
+        assert!(sys.reserve_component_transient(r, c, ResourceVector::new(0.5, 0.5), expiry));
+        let peer = OverlayNodeId((c.node.0 + 1) % sys.node_count() as u32);
+        let path = sys.virtual_path(c.node, peer).expect("overlay is connected");
+        assert!(sys.reserve_path_transient(r, 0, &path, 1.0, expiry));
+        let auditor = SystemAuditor::default();
+        assert!(auditor.audit(&sys).is_clean());
+        // Checked even with the lease ledger off: the index is always kept.
+        let link = LeaseHolder::Link(path.links[0]);
+        sys.forget_lease_holder(r.0, LeaseHolder::Node(c.node));
+        sys.forget_lease_holder(r.0, link);
+        let report = auditor.audit(&sys);
+        assert_eq!(
+            report.violations(),
+            &[
+                AuditViolation::LeaseHolderUnindexed { request: r.0, entity: LeaseHolder::Node(c.node) },
+                AuditViolation::LeaseHolderUnindexed { request: r.0, entity: link },
+            ],
+            "{report}"
+        );
+        assert_eq!(
+            report.violations()[0].to_string(),
+            format!("request 41: lease on {} missing from the holder index", c.node)
+        );
     }
 
     #[test]

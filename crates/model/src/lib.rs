@@ -83,7 +83,7 @@ pub mod prelude {
     pub use crate::resources::{ResourceKind, ResourceVector};
     pub use crate::shard::{ShardStats, ShardedRuntime};
     pub use crate::system::{
-        AdmissionError, DegradeOutcome, LeaseStats, Session, SessionHandle, SessionId,
+        AdmissionError, DegradeOutcome, LeaseHolder, LeaseStats, Session, SessionHandle, SessionId,
         StreamSystem, SystemConfig,
     };
     pub use crate::tenant::{

@@ -258,7 +258,8 @@ impl ShardedRuntime {
         let mut out = Vec::new();
         // Pass order mirrors `audit_at`: nodes (global, coordinator),
         // conservation (nodes then links), link state, sessions, path
-        // cache, leases (ledger then node expiry then link expiry).
+        // cache, leases (ledger then node expiry then link expiry), lease
+        // index (global, coordinator).
         auditor.audit_nodes(system, &mut out);
         for p in &mut parts {
             out.append(&mut p.conservation_nodes);
@@ -282,6 +283,7 @@ impl ShardedRuntime {
         for p in &mut parts {
             out.append(&mut p.lease_links);
         }
+        auditor.audit_lease_index(system, &mut out);
         // Tenant and repair passes last, mirroring `audit_at`:
         // inherently global (whole-ledger reads), so the coordinator
         // runs them directly.
@@ -308,7 +310,7 @@ mod tests {
     use crate::function::FunctionRegistry;
     use crate::request::RequestId;
     use crate::resources::ResourceVector;
-    use crate::system::{StreamSystem, SystemConfig};
+    use crate::system::{LeaseHolder, StreamSystem, SystemConfig};
     use acp_simcore::SimDuration;
     use acp_topology::{InetConfig, Overlay, OverlayConfig};
     use rand::rngs::StdRng;
@@ -360,6 +362,7 @@ mod tests {
             assert_eq!(sys.node_versions(), baseline.node_versions(), "shards={shards}");
             assert_eq!(sys.link_versions(), baseline.link_versions(), "shards={shards}");
             assert_eq!(sys.live_lease_count(), baseline.live_lease_count(), "shards={shards}");
+            assert_eq!(sys.lease_indexed_requests(), baseline.lease_indexed_requests(), "shards={shards}");
         }
     }
 
@@ -372,6 +375,10 @@ mod tests {
             reserve_leases(&mut sys, SimTime::from_secs(0));
             assert!(sys.node_mut(OverlayNodeId(2)).commit(ResourceVector::new(1.0, 1.0)));
             assert!(sys.node_mut(OverlayNodeId(17)).commit(ResourceVector::new(0.5, 2.0)));
+            // An index entry lost: the coordinator-side lease-index pass.
+            for i in 0..sys.node_count() {
+                sys.forget_lease_holder(500, LeaseHolder::Node(OverlayNodeId(i as u32)));
+            }
             sys
         };
         let auditor = SystemAuditor::default();
@@ -379,6 +386,10 @@ mod tests {
         let sys = make();
         let want = auditor.audit_at(&sys, late);
         assert!(!want.is_clean(), "test needs violations to compare");
+        assert!(want
+            .violations()
+            .iter()
+            .any(|v| matches!(v, AuditViolation::LeaseHolderUnindexed { request: 500, .. })));
 
         for shards in [1usize, 2, 4, 8] {
             let mut rt = ShardedRuntime::for_system(shards, &sys);

@@ -6,6 +6,8 @@
 //! bandwidth bookkeeping, the function→components discovery index, and the
 //! session table of the middleware's `Find`/`Process`/`Close` interface.
 
+use std::collections::HashMap;
+
 use acp_simcore::SimTime;
 use acp_topology::{Overlay, OverlayLinkId, OverlayNodeId, OverlayPath, SharedPath};
 use rand::Rng;
@@ -73,6 +75,40 @@ impl LinkState {
             return 0.0;
         }
         (self.capacity_kbps - self.committed_kbps - self.transient_total()).max(0.0)
+    }
+
+    /// Drops the leases matching `drop`; returns how many went.
+    fn drop_transients(&mut self, drop: impl Fn(&LinkTransient) -> bool) -> usize {
+        let before = self.transient.len();
+        self.transient.retain(|t| !drop(t));
+        before - self.transient.len()
+    }
+}
+
+/// An entity that holds transient leases: a stream node or an overlay
+/// link.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LeaseHolder {
+    /// A stream node (end-system resources).
+    Node(OverlayNodeId),
+    /// An overlay link (bandwidth).
+    Link(OverlayLinkId),
+}
+
+impl std::fmt::Display for LeaseHolder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LeaseHolder::Node(v) => write!(f, "{v}"),
+            LeaseHolder::Link(l) => write!(f, "link {}", l.0),
+        }
+    }
+}
+
+/// Whether `holder` currently holds at least one lease of `request`.
+fn holds_lease(nodes: &[StreamNode], links: &[LinkState], request: u64, holder: LeaseHolder) -> bool {
+    match holder {
+        LeaseHolder::Node(v) => nodes[v.index()].transient_requests().any(|r| r == request),
+        LeaseHolder::Link(l) => links[l.index()].transient.iter().any(|t| t.key.request == request),
     }
 }
 
@@ -376,6 +412,12 @@ pub struct StreamSystem {
     /// `u32::MAX` for tombstones. Dense ids are never reused.
     dense_ids: Vec<Vec<u32>>,
     dense_count: u32,
+    /// Request id → the nodes and links that hold its transient leases,
+    /// so releasing a request visits only its own footprint. A superset:
+    /// an entry goes stale when its lease expires, is released on its
+    /// own, or falls with a fault; visiting a stale entry drops nothing,
+    /// and every expiry sweep prunes them. Never iterated into output.
+    lease_holders: HashMap<u64, Vec<LeaseHolder>>,
     lease_stats: LeaseStats,
     /// Whether the [`LeaseStats`] ledger is maintained. On by default;
     /// single-phase scenarios switch it off so the inert path pays no
@@ -618,6 +660,7 @@ impl StreamSystem {
             link_versions: vec![0; links.len()],
             dense_ids,
             dense_count,
+            lease_holders: HashMap::new(),
             overlay,
             nodes,
             links,
@@ -825,6 +868,7 @@ impl StreamSystem {
                 self.lease_stats.created += 1;
             }
             self.touch_node(component.node);
+            self.index_lease(request, LeaseHolder::Node(component.node));
         } else if ok && self.lease_accounting {
             self.lease_stats.reused += 1;
         }
@@ -881,22 +925,37 @@ impl StreamSystem {
                     self.lease_stats.created += 1;
                 }
                 self.touch_link_index(i);
+                self.index_lease(request, LeaseHolder::Link(l));
             }
         }
         true
     }
 
-    /// Releases all transient bandwidth held by `(request, edge)`.
+    /// Lists `holder` under `request` in the lease-holder index (once).
+    fn index_lease(&mut self, request: RequestId, holder: LeaseHolder) {
+        let holders = self.lease_holders.entry(request.0).or_default();
+        if !holders.contains(&holder) {
+            holders.push(holder);
+        }
+    }
+
+    /// Releases all transient bandwidth held by `(request, edge)`,
+    /// visiting only the links the holder index lists for `request`
+    /// (they stay listed: other edges may still hold leases there).
     pub fn release_path_transient(&mut self, request: RequestId, edge: usize) {
         let key = LinkReservationKey { request: request.0, edge };
-        for (i, state) in self.links.iter_mut().enumerate() {
-            let before = state.transient.len();
-            state.transient.retain(|t| t.key != key);
-            if state.transient.len() != before {
-                if self.lease_accounting {
-                    self.lease_stats.released += (before - state.transient.len()) as u64;
+        let Some(holders) = self.lease_holders.get(&request.0) else {
+            return;
+        };
+        for &holder in holders {
+            if let LeaseHolder::Link(l) = holder {
+                let d = self.links[l.index()].drop_transients(|t| t.key == key);
+                if d > 0 {
+                    if self.lease_accounting {
+                        self.lease_stats.released += d as u64;
+                    }
+                    self.link_versions[l.index()] += 1;
                 }
-                self.link_versions[i] += 1;
             }
         }
     }
@@ -935,43 +994,56 @@ impl StreamSystem {
     /// Drops link `i`'s expired transients; see
     /// [`Self::expire_node_transients_at`].
     pub(crate) fn expire_link_transients_at(&mut self, i: usize, now: SimTime) -> usize {
-        let state = &mut self.links[i];
-        let before = state.transient.len();
-        state.transient.retain(|t| t.expires > now);
-        let d = before - state.transient.len();
+        let d = self.links[i].drop_transients(|t| t.expires <= now);
         if d > 0 {
             self.link_versions[i] += 1;
         }
         d
     }
 
-    /// Folds a completed expiry sweep's drop count into the lease ledger.
+    /// Closes a completed expiry sweep: folds its drop count into the
+    /// lease ledger and prunes the holder index down to entities that
+    /// still hold a lease of the listed request.
     pub(crate) fn record_expired_leases(&mut self, dropped: usize) {
         if self.lease_accounting {
             self.lease_stats.expired += dropped as u64;
         }
+        let (nodes, links) = (&self.nodes, &self.links);
+        self.lease_holders.retain(|&request, holders| {
+            holders.retain(|&h| holds_lease(nodes, links, request, h));
+            !holders.is_empty()
+        });
     }
 
     /// Releases **all** transient reservations belonging to `request`
     /// (dropped probes, failed compositions). Returns the number of
-    /// leases released.
+    /// leases released. Visits only the entities the holder index lists
+    /// for `request`, so the cost is the request's footprint, not the
+    /// system's size.
     pub fn release_request_transients(&mut self, request: RequestId) -> usize {
         let mut dropped = 0;
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            let d = node.release_request_transients(request.0);
+        for holder in self.lease_holders.remove(&request.0).unwrap_or_default() {
+            let (d, version) = match holder {
+                LeaseHolder::Node(v) => (
+                    self.nodes[v.index()].release_request_transients(request.0),
+                    &mut self.node_versions[v.index()],
+                ),
+                LeaseHolder::Link(l) => (
+                    self.links[l.index()].drop_transients(|t| t.key.request == request.0),
+                    &mut self.link_versions[l.index()],
+                ),
+            };
             if d > 0 {
-                self.node_versions[i] += 1;
+                *version += 1;
             }
             dropped += d;
         }
-        for (i, state) in self.links.iter_mut().enumerate() {
-            let before = state.transient.len();
-            state.transient.retain(|t| t.key.request != request.0);
-            if state.transient.len() != before {
-                self.link_versions[i] += 1;
-            }
-            dropped += before - state.transient.len();
-        }
+        debug_assert_eq!(
+            self.request_lease_count(request),
+            0,
+            "a lease of request {} escaped the holder index",
+            request.0
+        );
         if self.lease_accounting {
             self.lease_stats.released += dropped as u64;
         }
@@ -1907,6 +1979,35 @@ impl StreamSystem {
         out
     }
 
+    /// Request ids holding an outstanding lease on overlay link `l`
+    /// (one per lease, in lease order).
+    pub(crate) fn link_leased_requests(&self, l: OverlayLinkId) -> impl Iterator<Item = u64> + '_ {
+        self.links[l.index()].transient.iter().map(|t| t.key.request)
+    }
+
+    /// Whether the lease-holder index lists `holder` under `request`.
+    pub(crate) fn lease_holder_indexed(&self, request: u64, holder: LeaseHolder) -> bool {
+        self.lease_holders.get(&request).is_some_and(|h| h.contains(&holder))
+    }
+
+    /// Request ids the lease-holder index lists, sorted. A superset of
+    /// [`Self::leased_requests`] between expiry sweeps; equal to it
+    /// right after one.
+    pub fn lease_indexed_requests(&self) -> Vec<u64> {
+        let mut out: Vec<u64> = self.lease_holders.keys().copied().collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// Drops `holder` from `request`'s holder-index entry, so tests can
+    /// see the auditor catch an unindexed lease.
+    #[cfg(test)]
+    pub(crate) fn forget_lease_holder(&mut self, request: u64, holder: LeaseHolder) {
+        if let Some(holders) = self.lease_holders.get_mut(&request) {
+            holders.retain(|&h| h != holder);
+        }
+    }
+
     // ------------------------------------------------------------------
     // Tenant ledger
     // ------------------------------------------------------------------
@@ -2257,6 +2358,37 @@ mod tests {
         assert!(!sys.reserve_path_transient(RequestId(6), 0, &path, 1.0, SimTime::from_secs(10)));
         sys.release_path_transient(r, 0);
         assert!(sys.reserve_path_transient(RequestId(6), 0, &path, 1.0, SimTime::from_secs(10)));
+    }
+
+    #[test]
+    fn path_release_keeps_other_edges_indexed() {
+        let mut sys = build_system(10, 30);
+        let path = sys.virtual_path(OverlayNodeId(0), OverlayNodeId(1)).unwrap();
+        if path.is_colocated() {
+            return;
+        }
+        let r = RequestId(5);
+        let expires = SimTime::from_secs(10);
+        // Two edges of one request share every link of the path.
+        assert!(sys.reserve_path_transient(r, 0, &path, 1.0, expires));
+        assert!(sys.reserve_path_transient(r, 1, &path, 1.0, expires));
+        let hops = path.links.len();
+        assert_eq!(sys.request_lease_count(r), 2 * hops);
+        let versions = sys.link_versions().to_vec();
+        sys.release_path_transient(r, 0);
+        assert_eq!(sys.request_lease_count(r), hops, "edge 1 keeps its leases");
+        for &l in &path.links {
+            assert!(sys.lease_holder_indexed(r.0, LeaseHolder::Link(l)));
+            assert_eq!(sys.link_versions()[l.index()], versions[l.index()] + 1);
+        }
+        // Releasing an edge the request never held touches nothing.
+        sys.release_path_transient(r, 7);
+        sys.release_path_transient(RequestId(6), 0);
+        assert_eq!(sys.request_lease_count(r), hops);
+        assert_eq!(sys.release_request_transients(r), hops);
+        assert!(sys.lease_indexed_requests().is_empty());
+        let stats = sys.lease_stats();
+        assert_eq!((stats.created, stats.released), (2 * hops as u64, 2 * hops as u64));
     }
 
     /// Commits `n` copies of the same qualified composition under

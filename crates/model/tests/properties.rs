@@ -141,12 +141,15 @@ mod lease_reconciliation {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// Any interleaving of reserve / confirm / release / expire /
-        /// fault events keeps the lease ledger reconciled at every step
-        /// and leaves zero orphans after the final reclamation sweep.
+        /// fault / crash / clone events keeps the lease ledger reconciled
+        /// and the lease-holder index covering every live lease at every
+        /// step, and leaves zero orphans after the final reclamation
+        /// sweep. A request-wide release leaves nothing of the request
+        /// behind; a sweep leaves no index entry without a live lease.
         #[test]
         fn lease_interleavings_reconcile_to_zero_orphans(
             seed in 0u64..6,
-            ops in prop::collection::vec((0u8..6, 0usize..64, 1u64..9), 1..48),
+            ops in prop::collection::vec((0u8..10, 0usize..64, 1u64..9), 1..48),
         ) {
             let mut sys = build(seed);
             let auditor = SystemAuditor::default();
@@ -181,12 +184,24 @@ mod lease_reconciliation {
                     }
                     // Explicit release (failed composition / lost probe).
                     2 => {
-                        sys.release_request_transients(r);
+                        let live = sys.live_lease_count();
+                        let released = sys.release_request_transients(r);
+                        prop_assert!(!sys.leased_requests().contains(&r.0), "r{} kept a lease", r.0);
+                        prop_assert_eq!(released, live - sys.live_lease_count());
+                        prop_assert!(
+                            sys.lease_stats().reconciles(sys.live_lease_count() as u64),
+                            "ledger broken by release: {:?}", sys.lease_stats()
+                        );
                     }
                     // Time passes; the reclamation sweep runs.
                     3 => {
                         now += SimDuration::from_secs((pick % 40) as u64);
                         sys.expire_transients(now);
+                        prop_assert_eq!(
+                            sys.lease_indexed_requests(),
+                            sys.leased_requests(),
+                            "the sweep left index entries without a live lease"
+                        );
                     }
                     // Confirm: commit a session under this request,
                     // promoting whatever leases it holds.
@@ -212,6 +227,7 @@ mod lease_reconciliation {
                                         };
                                         let comp = Composition { assignment: vec![c0, c1], links: vec![path] };
                                         let _ = sys.commit_session(&request, comp);
+                                        prop_assert_eq!(sys.request_lease_count(r), 0);
                                     }
                                 }
                             }
@@ -231,8 +247,53 @@ mod lease_reconciliation {
                             sys.restore_link(l);
                         }
                     }
+                    // A component crashes, taking the leases held for it.
+                    6 => {
+                        let f = fns[pick % fns.len()];
+                        let cands = sys.candidates(f);
+                        if cands.len() > 1 {
+                            let c = cands[pick % cands.len()];
+                            sys.crash_component(c);
+                        }
+                    }
+                    // One lease released on its own: the first of r's
+                    // leases on the picked node that holds any.
+                    7 => {
+                        let holders: Vec<OverlayNodeId> = (0..sys.node_count() as u32)
+                            .map(OverlayNodeId)
+                            .filter(|&v| sys.node(v).transient_requests().any(|q| q == r.0))
+                            .collect();
+                        if !holders.is_empty() {
+                            let v = holders[pick % holders.len()];
+                            let ids: Vec<ComponentId> = sys.node(v).components().map(|c| c.id).collect();
+                            let before = sys.request_lease_count(r);
+                            for c in ids {
+                                sys.release_component_transient(r, c);
+                                if sys.request_lease_count(r) < before {
+                                    break;
+                                }
+                            }
+                            prop_assert_eq!(sys.request_lease_count(r), before - 1);
+                        }
+                    }
+                    // One edge's bandwidth released; other edges keep theirs.
+                    8 => {
+                        sys.release_path_transient(r, pick % 4);
+                    }
+                    // The system is cloned and the run goes on with the copy.
+                    9 => {
+                        sys = sys.clone();
+                    }
                     _ => unreachable!(),
                 }
+                let unindexed: Vec<AuditViolation> = auditor
+                    .audit(&sys)
+                    .violations()
+                    .iter()
+                    .filter(|v| matches!(v, AuditViolation::LeaseHolderUnindexed { .. }))
+                    .cloned()
+                    .collect();
+                prop_assert!(unindexed.is_empty(), "{:?}", unindexed);
                 let stats = sys.lease_stats();
                 prop_assert!(
                     stats.reconciles(sys.live_lease_count() as u64),

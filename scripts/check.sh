@@ -68,6 +68,9 @@ step "fig_scale smoke (10k nodes x 50k sessions, RSS ceiling)" \
 step "perf-ratio gate (quick snapshot vs BENCH_baseline.json)" \
     bash scripts/perf_gate.sh
 
+step "benchmark self-tests (drivers match run_scenario/fig_scale counters and digests)" \
+    cargo test --release --manifest-path perfbench/Cargo.toml
+
 step "criterion benches compile" \
     cargo bench --workspace --no-run
 
