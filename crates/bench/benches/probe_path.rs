@@ -3,7 +3,8 @@
 //! Quantifies the two probe-path optimisations:
 //!
 //! * `Overlay::virtual_path` memoisation — cache hit vs the cold compute
-//!   (tree extraction behind a `(from, to)` lookup),
+//!   (tree extraction behind a `(from, to)` lookup), and the lookup right
+//!   after a node recovery, which revalidates the memo,
 //! * the `probe_compose` inner loop with shared `Arc` paths and reused
 //!   selection/frontier scratch buffers.
 
@@ -44,6 +45,28 @@ fn bench_virtual_path(c: &mut Criterion) {
             let (from, to) = (OverlayNodeId(0), OverlayNodeId(nodes as u32 - 1));
             b.iter(|| {
                 overlay.invalidate_routes();
+                overlay.virtual_path(from, to)
+            });
+        });
+
+        // Recovery: with the memo warm over every pair, each iteration
+        // fails a relay, looks a pair up, brings the relay back and looks
+        // the pair up again. Revalidation keeps the routes the relay's
+        // return cannot change, so this tracks its cost against `miss`.
+        group.bench_with_input(BenchmarkId::new("recover", nodes), &nodes, |b, &nodes| {
+            let mut overlay = built_overlay(nodes);
+            let (from, to) = (OverlayNodeId(0), OverlayNodeId(nodes as u32 - 1));
+            let relay = OverlayNodeId(nodes as u32 / 2);
+            let all: Vec<OverlayNodeId> = overlay.nodes().collect();
+            for &a in &all {
+                for &z in &all {
+                    overlay.virtual_path(a, z);
+                }
+            }
+            b.iter(|| {
+                overlay.set_node_down(relay, true);
+                overlay.virtual_path(from, to);
+                overlay.set_node_down(relay, false);
                 overlay.virtual_path(from, to)
             });
         });

@@ -20,7 +20,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::graph::{EdgeId, Graph, LinkProps, NodeId};
-use crate::routing::{RoutingTable, ShortestPathTree};
+use crate::routing::ShortestPathTree;
 
 /// Index of a stream-processing node within the overlay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -193,15 +193,12 @@ impl Overlay {
             .map(|(i, &n)| (n, OverlayNodeId(i as u32)))
             .collect();
 
-        // 2. IP-layer routing from every stream node.
-        let mut routing = RoutingTable::new();
+        // 2. k-nearest-neighbour mesh, from one IP-layer tree at a time.
         let n = ip_nodes.len();
         let mut mesh = Graph::new(n);
         let mut ip_hops: Vec<usize> = Vec::new();
-
-        // 3. k-nearest-neighbour mesh.
         for i in 0..n {
-            let tree = routing.tree(ip_graph, ip_nodes[i]);
+            let tree = ShortestPathTree::compute(ip_graph, ip_nodes[i]);
             let mut dists: Vec<(SimDuration, usize)> = (0..n)
                 .filter(|&j| j != i)
                 .filter_map(|j| tree.distance(ip_nodes[j]).map(|d| (d, j)))
@@ -210,9 +207,7 @@ impl Overlay {
             for &(_, j) in dists.iter().take(config.neighbors) {
                 let (a, b) = (OverlayNodeId(i as u32), OverlayNodeId(j as u32));
                 if !mesh.has_edge(NodeId(a.0), NodeId(b.0)) {
-                    let path = routing
-                        .path(ip_graph, ip_nodes[i], ip_nodes[j])
-                        .expect("distance implies path");
+                    let path = tree.path_to(ip_graph, ip_nodes[j]).expect("distance implies path");
                     mesh.add_edge(
                         NodeId(a.0),
                         NodeId(b.0),
@@ -223,7 +218,7 @@ impl Overlay {
             }
         }
 
-        // 4. Bridge components (possible when the IP graph is disconnected
+        // 3. Bridge components (possible when the IP graph is disconnected
         //    or k-NN selection forms islands).
         loop {
             let component = mesh.connected_component(NodeId(0));
@@ -235,7 +230,7 @@ impl Overlay {
             // Connect the closest inside/outside pair.
             let mut best: Option<(SimDuration, usize, usize)> = None;
             for &o in &outside {
-                let tree = routing.tree(ip_graph, ip_nodes[o]);
+                let tree = ShortestPathTree::compute(ip_graph, ip_nodes[o]);
                 for &i in &inside {
                     if let Some(d) = tree.distance(ip_nodes[i]) {
                         if best.is_none_or(|(bd, _, _)| d < bd) {
@@ -245,7 +240,9 @@ impl Overlay {
                 }
             }
             let (_, o, i) = best.expect("IP graph must connect the selected stream nodes");
-            let path = routing.path(ip_graph, ip_nodes[o], ip_nodes[i]).expect("distance implies path");
+            let path = ShortestPathTree::compute(ip_graph, ip_nodes[o])
+                .path_to(ip_graph, ip_nodes[i])
+                .expect("distance implies path");
             mesh.add_edge(
                 NodeId(o as u32),
                 NodeId(i as u32),
@@ -393,9 +390,9 @@ impl Overlay {
     /// per-source routing-tree cache), so repeated queries — the common
     /// case during probing, where every candidate pair is examined many
     /// times per session — are a single hash lookup plus an `Arc` clone.
-    /// [`Self::invalidate_routes`] drops everything;
-    /// [`Self::invalidate_routes_for`] drops only entries a failed node
-    /// could affect.
+    /// Memoized answers always equal a fresh computation on the current
+    /// down set: [`Self::set_node_down`] keeps or drops each entry
+    /// exactly, and [`Self::invalidate_routes`] drops everything.
     pub fn virtual_path(&mut self, from: OverlayNodeId, to: OverlayNodeId) -> Option<SharedPath> {
         if let Some(cached) = self.path_cache.get(&(from, to)) {
             self.cache_stats.hits += 1;
@@ -527,10 +524,12 @@ impl Overlay {
 
     /// Marks a node's forwarding plane down or up. While down, the node
     /// is refused as a `virtual_path` endpoint and routing never relays
-    /// through it. Taking a node down invalidates exactly the cached
-    /// routes its loss could change ([`Self::invalidate_routes_for`]);
-    /// bringing one back clears everything, since a returning relay can
-    /// create shorter routes anywhere. No-op when the flag is unchanged.
+    /// through it. Either way every cached tree and memoized path stays
+    /// exactly what a fresh computation on the new down set would return:
+    /// taking a node down drops what its loss can change, and bringing it
+    /// back keeps what its return provably cannot change and drops the
+    /// rest (DESIGN.md §3c gives both rules). No-op when the flag is
+    /// unchanged.
     pub fn set_node_down(&mut self, node: OverlayNodeId, down: bool) {
         if self.down[node.index()] == down {
             return;
@@ -539,7 +538,7 @@ impl Overlay {
         if down {
             self.invalidate_routes_for(node);
         } else {
-            self.invalidate_routes();
+            self.revalidate_routes_for(node);
         }
     }
 
@@ -554,19 +553,54 @@ impl Overlay {
         self.path_cache.clear();
     }
 
-    /// Drops only the cached routes a failure of `node` could change:
-    /// the tree rooted at `node`, any tree where `node` forwards traffic
-    /// (its failure would reroute those paths), and memoized paths that
-    /// start at, end at, or traverse `node`. Trees and paths that never
-    /// touch `node` remain valid — removing a node can only remove
-    /// routes, never create shorter ones.
-    pub fn invalidate_routes_for(&mut self, node: OverlayNodeId) {
-        self.route_cache.retain(|_, tree| !tree.routes_through(NodeId(node.0)));
+    /// Drops only the cached routes the failure of `node`, just marked
+    /// down, could change: the tree rooted at `node`, any tree where
+    /// `node` forwards traffic (its failure would reroute those paths),
+    /// and memoized paths that start at, end at, or traverse `node`. In
+    /// the trees that remain `node` was at most a leaf and is cleared.
+    /// Everything kept is exact: removing a node can only remove routes,
+    /// never create shorter ones, and it cannot change a predecessor it
+    /// was not.
+    fn invalidate_routes_for(&mut self, node: OverlayNodeId) {
+        self.route_cache.retain(|_, tree| tree.block_leaf(NodeId(node.0)));
         self.path_cache.retain(|&(from, to), path| {
             from != node
                 && to != node
                 && path.as_ref().is_none_or(|p| !p.nodes.contains(&node))
         });
+    }
+
+    /// Keeps exactly the cached routes the return of `node`, just marked
+    /// up, cannot change, and caches `node`'s own fresh tree.
+    ///
+    /// * A tree rooted elsewhere stays, with `node` patched in as a leaf,
+    ///   when `node` offers no unblocked neighbour a route as short as
+    ///   the one it has (see `ShortestPathTree::admit_leaf`).
+    /// * A memoized `(s, t)` path of delay `p` stays when `node` cannot
+    ///   reach `s` or `t`, or when `d(s, node) + d(node, t) > p`: no route
+    ///   through `node` then matches any prefix of the path, so neither a
+    ///   distance nor an equal-delay tie-break on it moves. The
+    ///   inequality is strict because an equal-delay route could win the
+    ///   tie-break.
+    /// * A negative `(s, t)` entry stays only when `node` cannot reach
+    ///   `s` or `t`; otherwise `node` now joins them.
+    /// * Entries with `node` as an endpoint go: they were refusals.
+    fn revalidate_routes_for(&mut self, node: OverlayNodeId) {
+        let (mesh, down) = (&self.mesh, &self.down);
+        self.route_cache.retain(|_, tree| tree.admit_leaf(mesh, NodeId(node.0), down));
+        let from_node = ShortestPathTree::compute_excluding(mesh, NodeId(node.0), down);
+        self.path_cache.retain(|&(from, to), path| {
+            if from == node || to == node {
+                return false;
+            }
+            let via = from_node.distance(NodeId(from.0)).zip(from_node.distance(NodeId(to.0)));
+            match (via, path) {
+                (None, _) => true,
+                (Some((a, b)), Some(p)) => a + b > p.delay,
+                (Some(_), None) => false,
+            }
+        });
+        self.route_cache.insert(node, from_node);
     }
 
     /// The underlying mesh graph (read-only).
@@ -711,11 +745,13 @@ mod tests {
         }
         let before = ov.path_cache_len();
         let failed = nodes[3];
-        ov.invalidate_routes_for(failed);
+        ov.set_node_down(failed, true);
         assert!(ov.path_cache_len() < before, "entries touching the node must be dropped");
         // Every answer after targeted invalidation (mix of surviving
-        // memo entries and recomputations) must match a fresh overlay.
+        // memo entries and recomputations) must match a fresh overlay
+        // with the same node down.
         let mut reference = build_pair(9, 25, 3);
+        reference.set_node_down(failed, true);
         for &a in &nodes {
             for &b in &nodes {
                 let got = ov.virtual_path(a, b);
@@ -768,6 +804,53 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Asserts that every cached tree and memo entry equals what a fresh
+    /// computation on the current down set returns.
+    fn assert_routes_exact(ov: &Overlay) {
+        for (&s, tree) in &ov.route_cache {
+            let fresh = ShortestPathTree::compute_excluding(&ov.mesh, NodeId(s.0), &ov.down);
+            assert_eq!(tree, &fresh, "cached tree rooted at {s}");
+        }
+        let mut cold = ov.clone();
+        cold.invalidate_routes();
+        for (&(s, t), path) in &ov.path_cache {
+            assert_eq!(path.as_deref(), cold.virtual_path(s, t).as_deref(), "memoized {s}->{t}");
+        }
+    }
+
+    /// Failures and recoveries, several nodes down at once, interleaved
+    /// with lookups: after every flip the warm caches must equal a cold
+    /// overlay. Narrow whole-millisecond delays make equal-delay routes
+    /// common, so the tie refusals of revalidation are exercised.
+    #[test]
+    fn revalidation_matches_fresh_routing() {
+        let mut kept_across_recovery = 0;
+        for seed in 0..12 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let ip = InetConfig { nodes: 150, delay_ms: (1, 3), ..InetConfig::default() }.generate(&mut rng);
+            let mut ov = Overlay::build(&ip, &OverlayConfig { stream_nodes: 24, neighbors: 3 }, &mut rng);
+            let n = ov.node_count() as u32;
+            for _ in 0..60 {
+                for _ in 0..40 {
+                    ov.virtual_path(OverlayNodeId(rng.gen_range(0..n)), OverlayNodeId(rng.gen_range(0..n)));
+                }
+                let down: Vec<OverlayNodeId> = ov.nodes().filter(|&v| ov.is_node_down(v)).collect();
+                let v = if down.len() >= 4 {
+                    down[rng.gen_range(0..down.len())]
+                } else {
+                    OverlayNodeId(rng.gen_range(0..n))
+                };
+                let recovering = ov.is_node_down(v);
+                ov.set_node_down(v, !recovering);
+                if recovering {
+                    kept_across_recovery += ov.path_cache_len();
+                }
+                assert_routes_exact(&ov);
+            }
+        }
+        assert!(kept_across_recovery > 0, "recovery must keep part of the memo warm");
     }
 
     #[test]

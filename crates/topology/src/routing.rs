@@ -5,7 +5,8 @@
 //! Dijkstra per source on demand and caches the result, which keeps
 //! all-pairs queries affordable on the 3 200-node IP graph.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 use acp_simcore::SimDuration;
 
@@ -54,12 +55,22 @@ impl IpPath {
     }
 }
 
+/// Distance of a node the tree does not reach.
+const UNREACHED: u64 = u64::MAX;
+/// Predecessor of the source and of unreached nodes.
+const NO_PREV: (u32, u32) = (u32::MAX, u32::MAX);
+
 /// Single-source shortest-path tree (by delay).
-#[derive(Debug, Clone)]
+///
+/// Distances are raw microseconds with an `UNREACHED` sentinel and
+/// predecessors raw `(node, edge)` indices with a `NO_PREV` sentinel:
+/// 16 bytes per node instead of the 28 of `Option` slots, which matters
+/// when one tree per overlay node stays cached.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShortestPathTree {
     source: NodeId,
-    dist: Vec<Option<SimDuration>>,
-    prev: Vec<Option<(NodeId, EdgeId)>>,
+    dist: Vec<u64>,
+    prev: Vec<(u32, u32)>,
 }
 
 impl ShortestPathTree {
@@ -73,35 +84,35 @@ impl ShortestPathTree {
     /// forwarding plane). `blocked` may be empty (nothing blocked) or one
     /// flag per graph node. A blocked source yields an all-unreachable
     /// tree.
+    ///
+    /// Nodes settle in `(delay, node id)` order and a predecessor is
+    /// replaced only by a strictly shorter route, so among equal-delay
+    /// routes the one whose last relay settles first wins. Routed paths,
+    /// and every digest built on them, depend on this tie-break.
     pub fn compute_excluding(graph: &Graph, source: NodeId, blocked: &[bool]) -> Self {
         let n = graph.node_count();
-        let mut dist: Vec<Option<SimDuration>> = vec![None; n];
-        let mut prev: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
-        let is_blocked = |v: NodeId| blocked.get(v.index()).copied().unwrap_or(false);
-        if is_blocked(source) {
+        let mut dist = vec![UNREACHED; n];
+        let mut prev = vec![NO_PREV; n];
+        let is_blocked = |v: usize| blocked.get(v).copied().unwrap_or(false);
+        if is_blocked(source.index()) {
             return ShortestPathTree { source, dist, prev };
         }
-        let mut done = vec![false; n];
-        let mut heap = std::collections::BinaryHeap::new();
+        let mut heap = BinaryHeap::with_capacity(n);
+        dist[source.index()] = 0;
+        heap.push(Reverse((0u64, source.0)));
 
-        dist[source.index()] = Some(SimDuration::ZERO);
-        heap.push(std::cmp::Reverse((SimDuration::ZERO, source.0)));
-
-        while let Some(std::cmp::Reverse((d, u))) = heap.pop() {
-            let u = NodeId(u);
-            if done[u.index()] {
+        while let Some(Reverse((d, u))) = heap.pop() {
+            // A node is pushed once per strict improvement, so every entry
+            // but the one carrying its final distance is stale.
+            if d > dist[u as usize] {
                 continue;
             }
-            done[u.index()] = true;
-            for &(v, e) in graph.neighbors(u) {
-                if done[v.index()] || is_blocked(v) {
-                    continue;
-                }
-                let cand = d + graph.props(e).delay;
-                if dist[v.index()].is_none_or(|cur| cand < cur) {
-                    dist[v.index()] = Some(cand);
-                    prev[v.index()] = Some((u, e));
-                    heap.push(std::cmp::Reverse((cand, v.0)));
+            for &(v, e) in graph.neighbors(NodeId(u)) {
+                let cand = d + graph.props(e).delay.as_micros();
+                if cand < dist[v.index()] && !is_blocked(v.index()) {
+                    dist[v.index()] = cand;
+                    prev[v.index()] = (u, e.0);
+                    heap.push(Reverse((cand, v.0)));
                 }
             }
         }
@@ -110,7 +121,8 @@ impl ShortestPathTree {
 
     /// Delay from the source to `dst`; `None` when unreachable.
     pub fn distance(&self, dst: NodeId) -> Option<SimDuration> {
-        self.dist[dst.index()]
+        let d = self.dist[dst.index()];
+        (d != UNREACHED).then_some(SimDuration::from_micros(d))
     }
 
     /// The node this tree is rooted at.
@@ -123,12 +135,82 @@ impl ShortestPathTree {
     /// chain never passes through `node` are unaffected by its failure,
     /// so trees for which this is false stay valid when `node` dies.
     pub fn routes_through(&self, node: NodeId) -> bool {
-        self.source == node || self.prev.iter().flatten().any(|&(p, _)| p == node)
+        self.source == node || self.prev.iter().any(|&(p, _)| p == node.0)
+    }
+
+    /// Takes the now-blocked `node` out of the tree. Returns `false`, and
+    /// leaves the tree as it was, when `node` forwards traffic in it (see
+    /// [`Self::routes_through`]); the caller must then drop the tree.
+    /// Otherwise `node` was at most a leaf, and clearing its entry leaves
+    /// exactly the tree a fresh [`Self::compute_excluding`] would build.
+    pub(crate) fn block_leaf(&mut self, node: NodeId) -> bool {
+        if self.routes_through(node) {
+            return false;
+        }
+        self.dist[node.index()] = UNREACHED;
+        self.prev[node.index()] = NO_PREV;
+        true
+    }
+
+    /// Re-admits `node`, which was blocked when this tree was built and
+    /// is unblocked now (`blocked` is the new block set). Returns `true`
+    /// when the tree is patched to exactly what a fresh
+    /// [`Self::compute_excluding`] would build, and `false` when that
+    /// cannot be shown cheaply and the caller must drop the tree.
+    ///
+    /// The tree is unchanged when no unblocked neighbour of `node` is
+    /// reached. Otherwise `node` joins as a leaf when every unblocked
+    /// neighbour `w` is already reached strictly faster than through
+    /// `node`: then no other distance or predecessor moves. Ties are
+    /// refused: an equal-delay route through `node` could win the
+    /// settle-order tie-break, and so could two equally good predecessors
+    /// of `node` itself.
+    pub(crate) fn admit_leaf(&mut self, graph: &Graph, node: NodeId, blocked: &[bool]) -> bool {
+        let is_blocked = |v: usize| blocked.get(v).copied().unwrap_or(false);
+        if node == self.source {
+            return false;
+        }
+        // Dijkstra's predecessor for `node`: the smallest `(delay via u,
+        // dist[u])`, since among equal-delay offers the relay that settles
+        // first wins. A tie on both would fall to node ids; refuse it.
+        let mut best: Option<((u64, u64), (u32, u32))> = None;
+        let mut tied = false;
+        for &(u, e) in graph.neighbors(node) {
+            let du = self.dist[u.index()];
+            if du == UNREACHED || is_blocked(u.index()) {
+                continue;
+            }
+            let key = (du + graph.props(e).delay.as_micros(), du);
+            match best {
+                Some((bk, _)) if key == bk => tied = true,
+                Some((bk, _)) if key > bk => {}
+                _ => {
+                    best = Some((key, (u.0, e.0)));
+                    tied = false;
+                }
+            }
+        }
+        let Some(((dv, _), via)) = best else {
+            return true;
+        };
+        if tied {
+            return false;
+        }
+        for &(w, e) in graph.neighbors(node) {
+            if !is_blocked(w.index())
+                && dv + graph.props(e).delay.as_micros() <= self.dist[w.index()]
+            {
+                return false;
+            }
+        }
+        self.dist[node.index()] = dv;
+        self.prev[node.index()] = via;
+        true
     }
 
     /// Materialises the routed path to `dst`; `None` when unreachable.
     pub fn path_to(&self, graph: &Graph, dst: NodeId) -> Option<IpPath> {
-        self.dist[dst.index()]?;
+        let delay = self.distance(dst)?;
         if dst == self.source {
             return Some(IpPath::trivial(dst));
         }
@@ -136,15 +218,15 @@ impl ShortestPathTree {
         let mut edges = Vec::new();
         let mut cur = dst;
         while cur != self.source {
-            let (p, e) = self.prev[cur.index()].expect("reachable nodes have predecessors");
-            edges.push(e);
-            nodes.push(p);
-            cur = p;
+            let (p, e) = self.prev[cur.index()];
+            debug_assert!((p, e) != NO_PREV, "reachable nodes have predecessors");
+            edges.push(EdgeId(e));
+            nodes.push(NodeId(p));
+            cur = NodeId(p);
         }
         nodes.reverse();
         edges.reverse();
 
-        let delay = self.dist[dst.index()].expect("checked above");
         let mut bottleneck = f64::INFINITY;
         let mut pass = 1.0f64;
         for &e in &edges {
@@ -323,6 +405,90 @@ mod tests {
                     } else {
                         assert_eq!(got.unwrap().as_micros(), dij, "mismatch {i}->{j}");
                     }
+                }
+            }
+        }
+    }
+
+    /// Per-node distances and predecessors, `None` when unreached.
+    type ReferenceTree = (Vec<Option<SimDuration>>, Vec<Option<(NodeId, EdgeId)>>);
+
+    /// The textbook Dijkstra with `Option` slots and a `done` vector that
+    /// [`ShortestPathTree::compute_excluding`] replaced; kept as the
+    /// reference the lean kernel must match slot for slot.
+    fn reference_dijkstra(graph: &Graph, source: NodeId, blocked: &[bool]) -> ReferenceTree {
+        let n = graph.node_count();
+        let mut dist: Vec<Option<SimDuration>> = vec![None; n];
+        let mut prev: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
+        let is_blocked = |v: NodeId| blocked.get(v.index()).copied().unwrap_or(false);
+        if is_blocked(source) {
+            return (dist, prev);
+        }
+        let mut done = vec![false; n];
+        let mut heap = BinaryHeap::new();
+        dist[source.index()] = Some(SimDuration::ZERO);
+        heap.push(Reverse((SimDuration::ZERO, source.0)));
+        while let Some(Reverse((d, u))) = heap.pop() {
+            let u = NodeId(u);
+            if done[u.index()] {
+                continue;
+            }
+            done[u.index()] = true;
+            for &(v, e) in graph.neighbors(u) {
+                if done[v.index()] || is_blocked(v) {
+                    continue;
+                }
+                let cand = d + graph.props(e).delay;
+                if dist[v.index()].is_none_or(|cur| cand < cur) {
+                    dist[v.index()] = Some(cand);
+                    prev[v.index()] = Some((u, e));
+                    heap.push(Reverse((cand, v.0)));
+                }
+            }
+        }
+        (dist, prev)
+    }
+
+    /// The lean kernel returns the reference's distances *and*
+    /// predecessors: paths, and every digest built on them, follow the
+    /// predecessor tie-break. Delays of 0–2 ms make equal-delay routes
+    /// and zero-delay edges common; some graphs are disconnected and some
+    /// nodes blocked.
+    #[test]
+    fn lean_kernel_matches_reference_dijkstra() {
+        use rand::Rng;
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+        for _ in 0..200 {
+            let n = rng.gen_range(2..24);
+            let mut g = Graph::new(n);
+            let density = rng.gen_range(0.05..0.5);
+            for a in 0..n {
+                for b in (a + 1)..n {
+                    if rng.gen_bool(density) {
+                        g.add_edge(
+                            NodeId(a as u32),
+                            NodeId(b as u32),
+                            link(rng.gen_range(0..3), 1_000.0, 0.0),
+                        );
+                    }
+                }
+            }
+            let blocked: Vec<bool> = if rng.gen_bool(0.3) {
+                Vec::new()
+            } else {
+                (0..n).map(|_| rng.gen_bool(0.2)).collect()
+            };
+            for s in 0..n {
+                let source = NodeId(s as u32);
+                let tree = ShortestPathTree::compute_excluding(&g, source, &blocked);
+                let (dist, prev) = reference_dijkstra(&g, source, &blocked);
+                for v in 0..n {
+                    let node = NodeId(v as u32);
+                    assert_eq!(tree.distance(node), dist[v], "dist {source}->{node}");
+                    let lean_prev = (tree.prev[v] != NO_PREV)
+                        .then(|| (NodeId(tree.prev[v].0), EdgeId(tree.prev[v].1)));
+                    assert_eq!(lean_prev, prev[v], "prev {source}->{node}");
                 }
             }
         }
